@@ -134,32 +134,20 @@ def view_signature(view: ExplanationView) -> str:
 def config_from_canonical(payload: dict[str, Any]) -> Configuration:
     """Rebuild a :class:`Configuration` from ``Configuration.canonical_dict()``.
 
-    The canonical dict serialises coverage bounds as ``(lower, upper)``
-    pairs (and JSON turns mapping keys into strings), so this is not a
-    plain ``Configuration(**payload)`` — the bounds are mapped back into
-    :class:`CoverageBound` objects and label keys back into ints.
+    Every key the canonical dict emits is a constructor field and is passed
+    back, so the rebuilt configuration has the same fingerprint.  The
+    coverage bounds are serialised as ``(lower, upper)`` pairs and JSON
+    turns mapping keys into strings, so those two fields are mapped back
+    into :class:`CoverageBound` objects with int labels.
     """
-    lower, upper = payload["default_bound"]
-    return Configuration(
-        theta=payload["theta"],
-        radius=payload["radius"],
-        gamma=payload["gamma"],
-        default_bound=CoverageBound(int(lower), int(upper)),
-        coverage_bounds={
-            int(label): CoverageBound(int(bound[0]), int(bound[1]))
-            for label, bound in payload.get("coverage_bounds", {}).items()
-        },
-        influence_method=payload["influence_method"],
-        verification_mode=payload["verification_mode"],
-        min_check_size=payload["min_check_size"],
-        max_pattern_size=payload["max_pattern_size"],
-        max_pattern_candidates=payload["max_pattern_candidates"],
-        diversity_hops=payload["diversity_hops"],
-        selection_strategy=payload["selection_strategy"],
-        label_probability_cache_size=payload["label_probability_cache_size"],
-        match_cache_size=payload["match_cache_size"],
-        seed=payload["seed"],
-    )
+    fields = dict(payload)
+    lower, upper = fields["default_bound"]
+    fields["default_bound"] = CoverageBound(int(lower), int(upper))
+    fields["coverage_bounds"] = {
+        int(label): CoverageBound(int(bound[0]), int(bound[1]))
+        for label, bound in fields.get("coverage_bounds", {}).items()
+    }
+    return Configuration(**fields)
 
 
 class ReplicaService:

@@ -79,6 +79,14 @@ __all__ = ["API_VERSION", "create_server", "serve"]
 #: Version tag of the canonical REST surface (the ``/v1`` route prefix).
 API_VERSION = "v1"
 
+#: Largest request body the server reads, in bytes (larger → 413).  An
+#: ingest body is one serialised graph, far below this.
+MAX_BODY_BYTES = 32 * 1024 * 1024
+
+
+class _BodyTooLarge(ValueError):
+    """A request declared a body longer than :data:`MAX_BODY_BYTES`."""
+
 
 class _ExplanationRequestHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests onto the bound :class:`ExplanationService`."""
@@ -152,7 +160,19 @@ class _ExplanationRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        # Validated before reading: a negative length would read to EOF and
+        # hold this thread for as long as the client keeps the socket open.
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ValueError(f"invalid Content-Length {raw_length!r}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -196,6 +216,8 @@ class _ExplanationRequestHandler(BaseHTTPRequestHandler):
             self._send_shard_down(error)
         except FaultInjected as error:
             self._send_error(str(error), status=500)
+        except _BodyTooLarge as error:
+            self._send_error(str(error), status=413)
         except (ValueError, TypeError, ReproError) as error:
             self._send_error(str(error), status=400)
         except Exception as error:  # pragma: no cover - defensive

@@ -18,8 +18,6 @@ public contract.
 
 from __future__ import annotations
 
-import hashlib
-import threading
 import time
 import warnings
 import weakref
@@ -27,16 +25,15 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
+from repro.api.pipeline import RequestPipeline
 from repro.api.registry import DEFAULT_REGISTRY, create_explainer
 from repro.api.serialize import delta_from_dict, delta_to_dict, load_artifact, save_artifact
-from repro.api.types import SCHEMA_VERSION, ExplainRequest, ExplanationResult, Provenance
+from repro.api.types import SCHEMA_VERSION, ExplainRequest, ExplanationResult
 from repro.core.config import Configuration
 from repro.core.explanation import ExplanationViewSet
 from repro.core.faults import activate_from_config
 from repro.core.maintenance import DEFAULT_STREAM_BATCH_SIZE, ViewMaintainer
-from repro.core.sampling import estimator_summary, sampling_stats
+from repro.core.sampling import sampling_stats
 from repro.core.wal import WriteAheadLog
 from repro.exceptions import (
     DatasetError,
@@ -46,8 +43,6 @@ from repro.exceptions import (
 )
 from repro.graphs.database import DatabaseDelta, GraphDatabase
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import sparse_enabled
-from repro.api.store import ViewStore
 
 __all__ = ["ExplanationService", "ServiceQuery"]
 
@@ -71,8 +66,12 @@ class _WeakDeltaHook:
             database.unsubscribe(self)
 
 
-class ExplanationService:
+class ExplanationService(RequestPipeline):
     """Train-or-load a model, explain through any algorithm, cache, query.
+
+    The request pipeline (label resolution, selection, caching, provenance)
+    is :class:`~repro.api.pipeline.RequestPipeline`'s; this class computes a
+    cache miss with a local explainer, or reads it off the live maintainer.
 
     Parameters
     ----------
@@ -108,6 +107,11 @@ class ExplanationService:
         Training knobs forwarded to the experiment context on the train
         path.
     """
+
+    _CLOSED_REASON = (
+        "it no longer tracks database mutations, so mutating through it "
+        "would serve stale views — build a fresh service instead"
+    )
 
     def __init__(
         self,
@@ -170,35 +174,11 @@ class ExplanationService:
         # the process-global injection registry before any instrumented
         # path (WAL, store spill, HTTP) runs under this service.
         activate_from_config(self.config)
-        self._graphs_by_id: dict[int | None, Graph] = {
-            graph.graph_id: graph for graph in self.database.graphs
-        }
-        self.store = ViewStore(
-            capacity=cache_size, spill_dir=cache_dir, graphs_by_id=self._graphs_by_id
-        )
-        # Model-assigned label per graph id, filled lazily (the model is
-        # fixed for the service's lifetime, so one batched pass serves every
-        # request's label filtering).
-        self._predicted: dict[int | None, int] | None = None
-        # Latest result fingerprint per label — what the query facade reads.
-        # Guarded by _lock: the HTTP server handles requests on threads.
-        self._latest: dict[int, str] = {}
-        self._lock = threading.RLock()
-        # Cache keys embed the *context* identity (model weights, database
-        # size/version, split) next to the request fingerprint, so a
-        # persistent cache_dir can never serve views computed by a different
-        # model — e.g. after retraining with other epochs on the same
-        # dataset — or by the same model over different database contents.
-        # The model is fixed for the service's lifetime, so its weight
-        # digest is hashed once; mutations only re-fold the cheap database
-        # identity.
-        self._weights_digest = self._fingerprint_weights()
-        self._context_fingerprint = self._fingerprint_context()
+        self._start_pipeline(cache_size=cache_size, spill_dir=cache_dir)
         # Live incremental view maintenance (enable_live_views): StreamGVEX
         # state repaired per delta instead of recomputed per request.
         self._maintainer: ViewMaintainer | None = None
         self._mutations_since_snapshot = 0
-        self._closed = False
         # Delta-aware cache bookkeeping for *any* database mutation,
         # including ones made directly on the database object.  Bound
         # weakly: a dropped service must not be pinned alive by the
@@ -350,74 +330,23 @@ class ExplanationService:
     # ------------------------------------------------------------------
     # the explain surface
     # ------------------------------------------------------------------
-    def explain(
-        self,
-        request: ExplainRequest | None = None,
-        *,
-        algorithm: str = "approx",
-        label: int | None = None,
-        max_nodes: int | None = None,
-        config: Configuration | None = None,
-        graph_ids: Sequence[int] | None = None,
-        limit: int | None = None,
-    ) -> ExplanationResult:
-        """Produce (or fetch from cache) one label's explanation view.
+    # Bound on this class itself (not only inherited) so per-class
+    # instrumentation such as ``perfbench/tracing.py`` can wrap it.
+    explain = RequestPipeline.explain
 
-        Accepts either a prebuilt :class:`~repro.api.types.ExplainRequest`
-        or the equivalent keyword arguments.  The result's provenance
-        records whether it was served from cache.
-        """
-        if request is None:
-            request = ExplainRequest(
-                algorithm=algorithm,
-                label=label,
-                config=config or self.config,
-                max_nodes=max_nodes,
-                graph_ids=tuple(graph_ids) if graph_ids is not None else None,
-                limit=limit,
-            )
-        request = self._resolve_label(request)
-        key = self._cache_key(request)
-        with self._lock:
-            cached = self.store.get(key)
-            if cached is not None:
-                self._latest[cached.provenance.label] = key
-                return cached.marked_cached()
-
+    def _compute(self, request: ExplainRequest) -> ExplanationResult:
         # A live maintainer serves matching stream requests without any
         # recompute (its views are repaired per database delta).
         maintained = self._maintained_result(request)
         if maintained is not None:
             return maintained
-
-        # The explanation itself runs outside the lock so concurrent
-        # requests for *different* jobs proceed in parallel; two concurrent
-        # misses on the same key redundantly (but harmlessly) both compute.
         graphs = self._select_graphs(request)
         explainer = create_explainer(
             request.algorithm, self.model, config=request.effective_config()
         )
         start = time.perf_counter()
         view = explainer.explain_label(graphs, request.label)
-        runtime = time.perf_counter() - start
-        result = ExplanationResult(
-            view=view,
-            provenance=Provenance(
-                algorithm=request.algorithm,
-                label=request.label,
-                config_fingerprint=request.effective_config().fingerprint(),
-                request_fingerprint=request.fingerprint(),
-                runtime_seconds=runtime,
-                backend="sparse" if sparse_enabled() else "legacy",
-                num_graphs=len(graphs),
-                dataset=self.dataset,
-                estimator=estimator_summary(request.effective_config(), graphs),
-            ),
-        )
-        with self._lock:
-            self.store.put(key, result)
-            self._latest[request.label] = key
-        return result
+        return self._result(request, view, time.perf_counter() - start, graphs)
 
     def explain_many(
         self,
@@ -437,8 +366,8 @@ class ExplanationService:
         labels are served from the store either way.
         """
         if labels is None:
-            predicted = self._predicted_labels()
-            labels = sorted(set(predicted.values()))
+            with self._lock:
+                labels = sorted(set(self._predicted_labels().values()))
         requests = {
             label: self._resolve_label(
                 ExplainRequest(
@@ -453,14 +382,12 @@ class ExplanationService:
         }
         results: dict[int, ExplanationResult] = {}
         pending: list[int] = []
-        with self._lock:
-            for label, request in requests.items():
-                cached = self.store.get(self._cache_key(request))
-                if cached is not None:
-                    self._latest[label] = self._cache_key(request)
-                    results[label] = cached.marked_cached()
-                else:
-                    pending.append(label)
+        for label, request in requests.items():
+            cached = self._cached(self._cache_key(request))
+            if cached is not None:
+                results[label] = cached
+            else:
+                pending.append(label)
 
         parallelizable = algorithm in ("approx", "stream") and limit is None
         if pending and num_workers > 1 and parallelizable:
@@ -479,27 +406,13 @@ class ExplanationService:
             elapsed = time.perf_counter() - start
             for label in pending:
                 request = requests[label]
-                result = ExplanationResult(
-                    view=views.view_for(label),
-                    provenance=Provenance(
-                        algorithm=request.algorithm,
-                        label=label,
-                        config_fingerprint=request.effective_config().fingerprint(),
-                        request_fingerprint=request.fingerprint(),
-                        runtime_seconds=elapsed / max(len(pending), 1),
-                        backend="sparse" if sparse_enabled() else "legacy",
-                        num_graphs=len(self.database),
-                        dataset=self.dataset,
-                        estimator=estimator_summary(
-                            request.effective_config(), self.database.graphs
-                        ),
-                    ),
+                results[label] = self._result(
+                    request,
+                    views.view_for(label),
+                    elapsed / max(len(pending), 1),
+                    self.database.graphs,
                 )
-                key = self._cache_key(request)
-                with self._lock:
-                    self.store.put(key, result)
-                    self._latest[label] = key
-                results[label] = result
+                self._remember(self._cache_key(request), results[label])
         else:
             for label in pending:
                 results[label] = self.explain(requests[label])
@@ -606,26 +519,7 @@ class ExplanationService:
             # graph object*: a rejected ingest must leave both unchanged
             # (the suggested remedy — retry without an id — only works if
             # the rejected id was never written onto the graph).
-            wanted_id = graph_id if graph_id is not None else graph.graph_id
-            if wanted_id is not None and wanted_id in self._graphs_by_id:
-                raise ExplanationError(
-                    f"graph id {wanted_id} is already in the database; "
-                    "remove it first or ingest without an id to auto-assign one"
-                )
-            # Validate *before* mutating: a graph the model cannot classify
-            # (e.g. mismatched feature dimensionality) must be rejected
-            # cleanly, not crash mid-delta with the database already grown.
-            # The feature-matrix probe is the cheap structural check — no
-            # forward pass; the model's own inference runs once, in the
-            # delta hooks.
-            if graph.num_nodes() > 0:
-                try:
-                    graph.feature_matrix(getattr(self.model, "feature_dim", None))
-                except Exception as error:
-                    raise ExplanationError(
-                        f"cannot ingest graph {wanted_id!r}: the service's "
-                        f"model cannot classify it ({error})"
-                    ) from error
+            self._check_ingest(graph, graph_id if graph_id is not None else graph.graph_id)
             if graph_id is not None:
                 graph.graph_id = graph_id
             self.database.add_graph(graph, label)
@@ -648,32 +542,6 @@ class ExplanationService:
     # ------------------------------------------------------------------
     # stored-view access
     # ------------------------------------------------------------------
-    def view_set(self) -> ExplanationViewSet:
-        """The latest stored view per label, as one queryable set."""
-        with self._lock:
-            latest = dict(self._latest)
-        views = ExplanationViewSet()
-        for key in latest.values():
-            result = self.store.get(key)
-            if result is not None:
-                views.add(result.view)
-        return views
-
-    def results(self) -> list[ExplanationResult]:
-        """The latest stored result per label (sorted by label)."""
-        with self._lock:
-            latest = dict(self._latest)
-        collected = []
-        for label in sorted(latest):
-            result = self.store.get(latest[label])
-            if result is not None:
-                collected.append(result)
-        return collected
-
-    def query(self) -> "ServiceQuery":
-        """A query facade over every currently stored view."""
-        return ServiceQuery(self)
-
     def save_views(self, path: str | Path) -> Path:
         """Persist the latest result per label as one envelope file."""
         results = self.results()
@@ -722,31 +590,13 @@ class ExplanationService:
                 self._wal = None
             self._closed = True
 
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ExplanationError(
-                "this ExplanationService is closed; it no longer tracks "
-                "database mutations, so mutating through it would serve "
-                "stale views — build a fresh service instead"
-            )
-
     def stats(self) -> dict[str, Any]:
         """Service health snapshot (dataset, model quality, cache counters)."""
         from repro.core.caching import cache_aggregate, with_hit_rate
         from repro.matching.engine import compiled_available, get_engine
 
-        with self._lock:
-            labels_explained = sorted(self._latest)
-        return {
-            "dataset": self.dataset,
-            "num_graphs": len(self.database),
-            "database_version": self.database.version,
-            "labels_explained": labels_explained,
-            "train_accuracy": self.train_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "backend": "sparse" if sparse_enabled() else "legacy",
+        return self._stats_header() | {
             "compiled_matcher": compiled_available(),
-            "cache": with_hit_rate(self.store.stats()),
             "match_engine_cache": with_hit_rate(get_engine().stats()),
             "label_probability_cache": cache_aggregate("label_probability"),
             "sampling": {"objective": self.config.objective} | sampling_stats(),
@@ -766,54 +616,6 @@ class ExplanationService:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _predicted_labels(self) -> dict[int | None, int]:
-        if self._predicted is None:
-            graphs = [graph for graph in self.database.graphs if graph.num_nodes() > 0]
-            if sparse_enabled() and len(graphs) > 1:
-                assigned = self.model.predict_batch(graphs)
-            else:
-                assigned = [self.model.predict(graph) for graph in graphs]
-            self._predicted = {
-                graph.graph_id: label for graph, label in zip(graphs, assigned)
-            }
-        return self._predicted
-
-    def _resolve_label(self, request: ExplainRequest) -> ExplainRequest:
-        if request.label is not None:
-            return request
-        predicted = self._predicted_labels()
-        pool = (
-            [predicted[graph_id] for graph_id in request.graph_ids if graph_id in predicted]
-            if request.graph_ids is not None
-            else list(predicted.values())
-        )
-        if not pool:
-            raise ExplanationError(
-                "cannot infer a label to explain: the request selects no "
-                "non-empty graphs"
-            )
-        return request.with_label(min(pool))
-
-    def _select_graphs(self, request: ExplainRequest) -> list[Graph]:
-        if request.graph_ids is not None:
-            wanted = set(request.graph_ids)
-            graphs = [graph for graph in self.database.graphs if graph.graph_id in wanted]
-        else:
-            graphs = list(self.database.graphs)
-        if request.limit is not None:
-            # Test-split graphs first (the paper explains the test set;
-            # train-split graphs only top the group up), matching the
-            # experiment runners' label_group semantics.
-            test_rank = {graph_id: rank for rank, graph_id in enumerate(self._test_ids)}
-            graphs = sorted(
-                graphs, key=lambda graph: test_rank.get(graph.graph_id, len(test_rank))
-            )
-            predicted = self._predicted_labels()
-            graphs = [
-                graph for graph in graphs if predicted.get(graph.graph_id) == request.label
-            ][: request.limit]
-        return graphs
-
     # -- dynamic-database internals -------------------------------------
     def _on_delta(self, delta: DatabaseDelta) -> None:
         """Cheap bookkeeping for *every* database mutation (delta-aware).
@@ -835,36 +637,11 @@ class ExplanationService:
             # Replayed deltas are already in the log and skip the append.
             if self._wal is not None and not self._wal_replaying:
                 self._wal.append(delta_to_dict(delta), delta.version)
-            # Cache-key bookkeeping next: it must happen even when the
-            # later model work fails (a direct database.add_graph of an
-            # unclassifiable graph), or stale pre-mutation views would keep
-            # being served for the grown database.
-            old_context = self._context_fingerprint
-            self._context_fingerprint = self._fingerprint_context()
-            # Every result computed over the previous database contents —
-            # any algorithm, limit, or graph selection, not just the latest
-            # per label — becomes unreachable (keys embed the old context
-            # fingerprint).  Discard the whole generation from both store
-            # tiers, or a long-running live-ingest service accumulates one
-            # dead artifact per request variant per mutation, forever.
-            # Maintained labels re-register under the new keys right after.
-            self.store.discard_prefix(f"{(self.dataset or 'custom').lower()}-{old_context}-")
-            self._latest.clear()
-            if delta.kind == "add" and delta.graph is not None:
-                self._graphs_by_id[delta.graph.graph_id] = delta.graph
-                if self._predicted is not None and delta.graph.num_nodes() > 0:
-                    try:
-                        self._predicted[delta.graph.graph_id] = self.model.predict(delta.graph)
-                    except Exception:
-                        # Unclassifiable graph added directly on the
-                        # database: drop the memo rather than poison it; a
-                        # later label query rebuilds (and surfaces the
-                        # error to the caller who asks).
-                        self._predicted = None
-            elif delta.kind == "remove":
-                self._graphs_by_id.pop(delta.graph_id, None)
-                if self._predicted is not None:
-                    self._predicted.pop(delta.graph_id, None)
+            # Key rotation must happen even when the later model work fails
+            # (a direct database.add_graph of an unclassifiable graph), or
+            # stale pre-mutation views would keep being served.  Maintained
+            # labels re-register under the new keys right after.
+            self._after_mutation(delta.kind, delta.graph_id, delta.graph)
 
     #: Mutations between maintainer snapshot writes.  The snapshot is an
     #: optimisation, not the source of truth: a restore streams whatever the
@@ -916,7 +693,9 @@ class ExplanationService:
         refreshed = []
         for label in self._maintainer.maintained_labels():
             request = ExplainRequest(algorithm="stream", label=label, config=self.config)
-            if self._maintained_result(request) is not None:
+            result = self._maintained_result(request)
+            if result is not None:
+                self._remember(self._cache_key(request), result)
                 refreshed.append(label)
         return refreshed
 
@@ -928,9 +707,8 @@ class ExplanationService:
         # databases from restoring each other's rows out of a shared
         # cache_dir (graph ids overlap across databases); from_snapshot
         # additionally validates restored node sets against the graphs.
-        prefix = (self.dataset or "custom").lower()
         name = "".join(ch for ch in self.database.name.lower() if ch.isalnum())
-        return f"{prefix}-{name}-{self._weights_digest[:12]}-maintainer"
+        return f"{self._key_prefix()}-{name}-{self._weights_digest[:12]}-maintainer"
 
     def _persist_maintainer(self) -> None:
         if self._maintainer is None or self.store.spill_dir is None:
@@ -945,8 +723,7 @@ class ExplanationService:
         ``stream`` algorithm over the whole database under the maintainer's
         exact configuration (same fingerprint, default batch size, predicted
         label groups) — so the served view is identical to what a fresh
-        ``StreamGVEX`` recompute would produce.  The result is registered in
-        the store under the current context key.
+        ``StreamGVEX`` recompute would produce.
         """
         maintainer = self._maintainer
         if maintainer is None or request.label is None:
@@ -964,70 +741,17 @@ class ExplanationService:
             return None
         if request.effective_config().fingerprint() != maintainer.config.fingerprint():
             return None
-        # View assembly and registration run under the service lock: the
-        # HTTP server serves /explain and /ingest on different threads, and
-        # mutations (which hold this lock across the database call and its
-        # synchronous subscription hooks) must never interleave with a read
-        # of the maintainer's row state.
+        # View assembly runs under the service lock: the HTTP server serves
+        # /explain and /ingest on different threads, and mutations (which
+        # hold this lock across the database call and its synchronous
+        # subscription hooks) must never interleave with a read of the
+        # maintainer's row state.
         with self._lock:
             start = time.perf_counter()
             view = maintainer.view_for(request.label)
-            result = ExplanationResult(
-                view=view,
-                provenance=Provenance(
-                    algorithm=request.algorithm,
-                    label=request.label,
-                    config_fingerprint=request.effective_config().fingerprint(),
-                    request_fingerprint=request.fingerprint(),
-                    runtime_seconds=time.perf_counter() - start,
-                    backend="sparse" if sparse_enabled() else "legacy",
-                    num_graphs=len(self.database),
-                    dataset=self.dataset,
-                    estimator=estimator_summary(
-                        request.effective_config(), self.database.graphs
-                    ),
-                ),
+            return self._result(
+                request, view, time.perf_counter() - start, self.database.graphs
             )
-            key = self._cache_key(request)
-            self.store.put(key, result)
-            self._latest[request.label] = key
-        return result
-
-    def _fingerprint_weights(self) -> str:
-        """Stable hash of the model weights (computed once; the model is
-        fixed for the service's lifetime)."""
-        digest = hashlib.sha256()
-        for layer in self.model.get_weights():
-            for name in sorted(layer):
-                array = np.ascontiguousarray(layer[name])
-                digest.update(name.encode("utf-8"))
-                digest.update(str(array.shape).encode("utf-8"))
-                digest.update(array.tobytes())
-        return digest.hexdigest()
-
-    def _fingerprint_context(self) -> str:
-        """Stable hash of the model weights + database/split identity.
-
-        Part of every cache key: a spill directory shared across runs must
-        never serve views computed by a different (e.g. retrained) model,
-        and the adopt path must not collide across unrelated model/database
-        pairs.  The database *version* is folded in, so every mutation moves
-        the service onto fresh cache keys — results computed over the old
-        contents become unreachable instead of being served stale (the
-        delta-aware invalidation: maintained labels are re-registered under
-        the new keys from the live maintainer, everything else recomputes on
-        demand).
-        """
-        digest = hashlib.sha256()
-        digest.update(self._weights_digest.encode("utf-8"))
-        digest.update(str(len(self.database)).encode("utf-8"))
-        digest.update(str(self.database.version).encode("utf-8"))
-        digest.update(str(self._test_ids).encode("utf-8"))
-        return digest.hexdigest()[:12]
-
-    def _cache_key(self, request: ExplainRequest) -> str:
-        prefix = (self.dataset or "custom").lower()
-        return f"{prefix}-{self._context_fingerprint}-{request.fingerprint()}"
 
     def _result_key(self, result: ExplanationResult) -> str:
         prefix = (result.provenance.dataset or self.dataset or "custom").lower()

@@ -1,9 +1,11 @@
 """The sharded tier's front-end: route, fan out, reassemble, recover.
 
-:class:`ShardRouter` duck-types the :class:`ExplanationService` surface the
-HTTP server binds to, so ``repro serve --shards N`` swaps it in without the
-handler changing — but underneath, every request is decomposed against a
-deterministic :class:`ShardPlan`:
+:class:`ShardRouter` shares the request pipeline of
+:class:`~repro.api.service.ExplanationService`
+(:class:`~repro.api.pipeline.RequestPipeline`), so ``repro serve --shards
+N`` swaps it in without the HTTP handler changing.  Underneath, every
+mutation and every cache miss is decomposed against a deterministic
+:class:`ShardPlan`:
 
 * **mutations** (``ingest``/``remove``/``relabel``) route to the single
   owning shard, whose worker appends to its own contiguous WAL stream;
@@ -56,27 +58,22 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
+from repro.api.pipeline import RequestPipeline
 from repro.api.registry import DEFAULT_REGISTRY, create_explainer
 from repro.api.replication import model_to_payload
 from repro.api.serialize import delta_from_dict, view_from_dict
-from repro.api.service import ServiceQuery
 from repro.api.sharding.plan import ShardPlan
 from repro.api.sharding.shm import create_arena
 from repro.api.sharding.worker import ShardHost, shard_worker_main
-from repro.api.store import ViewStore
-from repro.api.types import ExplainRequest, ExplanationResult, Provenance
+from repro.api.types import ExplainRequest, ExplanationResult
 from repro.core.config import Configuration
-from repro.core.explanation import ExplanationViewSet
+from repro.core.explanation import ExplanationView, ExplanationViewSet
 from repro.core.faults import activate_from_config, fault_point
 from repro.core.maintenance import assemble_view_from_rows
 from repro.core.parallel import merge_views
-from repro.core.sampling import estimator_summary
 from repro.exceptions import ExplanationError, PoisonRequestError, ShardDownError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import sparse_enabled
 
 __all__ = ["ShardRouter", "ShardSupervisor"]
 
@@ -214,21 +211,25 @@ class _ProcessWorker:
             pass
 
 
-class ShardRouter:
+class ShardRouter(RequestPipeline):
     """Front-end over ``num_shards`` worker-hosted explanation services.
 
-    Duck-types the service surface (``explain``, ``ingest``/``remove``/
-    ``relabel``, ``view_set``, ``results``, ``query``, ``stats``,
-    ``live_views``, ``close``), so :func:`repro.api.server.create_server`
-    binds to it unchanged.  Replication endpoints are not served in sharded
-    mode (``delta_feed``/``replication_snapshot`` raise — per-shard WAL
-    streams are the durable story here).
+    Shares :class:`~repro.api.pipeline.RequestPipeline` with the
+    single-process service — label resolution, selection, cache keys,
+    provenance and post-mutation bookkeeping are the same code — and
+    overrides only how a cache miss is computed (fan-out to the shards and
+    reassembly), so :func:`repro.api.server.create_server` binds to it
+    unchanged.  Replication endpoints are not served in sharded mode
+    (``delta_feed``/``replication_snapshot`` raise — per-shard WAL streams
+    are the durable story here).
 
     Parameters mirror the service's adopt path; ``backend`` selects
     ``"process"`` (long-lived worker processes over pipes), ``"inline"``
     (same hosts in-process), or ``"auto"`` (process with inline fallback
     where the sandbox forbids spawning).
     """
+
+    _CLOSED_REASON = "its workers have shut down — build a fresh router instead"
 
     def __init__(
         self,
@@ -267,18 +268,11 @@ class ShardRouter:
         self.degraded_reads = bool(getattr(self.config, "degraded_reads", False))
         self.plan = ShardPlan(num_shards)
         self.num_shards = self.plan.num_shards
-        self.train_accuracy: float | None = None
-        self.test_accuracy: float | None = None
         self._test_ids: list[int | None] = list(test_ids or [])
         self.request_timeout = request_timeout
         self._boot_timeout = boot_timeout
-        self._lock = threading.RLock()
-        self._latest: dict[int, str] = {}
-        self._predicted: dict[int | None, int] | None = None
         self._live_cache: tuple[int, ExplanationViewSet] | None = None
-        self._positions_cache: tuple[int, dict[int | None, int]] | None = None
         self._respawns = 0
-        self._closed = False
 
         # Supervision state: crash-loop breaker + poison quarantine.  The
         # health lock guards only these counters (never held across a worker
@@ -305,14 +299,6 @@ class ShardRouter:
 
         cache_root = Path(cache_dir) if cache_dir is not None else None
         wal_root = Path(wal_dir) if wal_dir is not None else None
-        # The router's own result cache answers repeated requests without
-        # any fan-out; its spill directory is separate from the shards' so
-        # router-assembled results never shadow worker-computed ones.
-        self.store = ViewStore(
-            capacity=cache_size,
-            spill_dir=(cache_root / "router") if cache_root is not None else None,
-            graphs_by_id={graph.graph_id: graph for graph in database.graphs},
-        )
 
         # One shared-memory arena over the seed graphs' CSR views; workers
         # attach zero-copy.  Strictly an optimisation — any failure (no
@@ -390,12 +376,13 @@ class ShardRouter:
         # replayed mutations up into the router's global database so
         # placement, ordering, and graphs_by_id agree with the shards again.
         self._reconcile_replayed()
-        self._graphs_by_id: dict[int | None, Graph] = {
-            graph.graph_id: graph for graph in self.database.graphs
-        }
-        self.store._graphs_by_id = self._graphs_by_id
-        self._weights_digest = self._fingerprint_weights()
-        self._context_fingerprint = self._fingerprint_context()
+        # The router's own result cache answers repeated requests without
+        # any fan-out; its spill directory is separate from the shards' so
+        # router-assembled results never shadow worker-computed ones.
+        self._start_pipeline(
+            cache_size=cache_size,
+            spill_dir=(cache_root / "router") if cache_root is not None else None,
+        )
 
         if supervise:
             self._supervisor = ShardSupervisor(
@@ -693,69 +680,20 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # the explain surface
     # ------------------------------------------------------------------
-    def explain(
-        self,
-        request: ExplainRequest | None = None,
-        *,
-        algorithm: str = "approx",
-        label: int | None = None,
-        max_nodes: int | None = None,
-        config: Configuration | None = None,
-        graph_ids: Sequence[int] | None = None,
-        limit: int | None = None,
-    ) -> ExplanationResult:
-        """Produce (or fetch from cache) one label's explanation view."""
-        self._ensure_open()
-        if request is None:
-            request = ExplainRequest(
-                algorithm=algorithm,
-                label=label,
-                config=config or self.config,
-                max_nodes=max_nodes,
-                graph_ids=tuple(graph_ids) if graph_ids is not None else None,
-                limit=limit,
-            )
-        request = self._resolve_label(request)
-        key = self._cache_key(request)
-        with self._lock:
-            cached = self.store.get(key)
-            if cached is not None:
-                self._latest[cached.provenance.label] = key
-                return cached.marked_cached()
+    # Bound on this class itself (not only inherited) so per-class
+    # instrumentation such as ``perfbench/tracing.py`` can wrap it.
+    explain = RequestPipeline.explain
 
+    def _compute(self, request: ExplainRequest) -> ExplanationResult:
+        self._ensure_open()
         start = time.perf_counter()
         if self._is_maintained_stream(request):
-            view, missing_shards = self._stream_view(request)
-            num_graphs = len(self.database)
+            view, graphs, missing_shards = self._stream_view(request)
         else:
-            view, num_graphs, missing_shards = self._fanout_view(request)
-        runtime = time.perf_counter() - start
-        result = ExplanationResult(
-            view=view,
-            provenance=Provenance(
-                algorithm=request.algorithm,
-                label=request.label,
-                config_fingerprint=request.effective_config().fingerprint(),
-                request_fingerprint=request.fingerprint(),
-                runtime_seconds=runtime,
-                backend="sparse" if sparse_enabled() else "legacy",
-                num_graphs=num_graphs,
-                dataset=self.dataset,
-                estimator=estimator_summary(
-                    request.effective_config(), self.database.graphs
-                ),
-            ),
-            degraded=bool(missing_shards),
-            missing_shards=tuple(missing_shards),
+            view, graphs, missing_shards = self._fanout_view(request)
+        return self._result(
+            request, view, time.perf_counter() - start, graphs, missing_shards
         )
-        if missing_shards:
-            # A partial answer must never be served from (or poison) the
-            # cache: the next request re-fans and heals as shards return.
-            return result
-        with self._lock:
-            self.store.put(key, result)
-            self._latest[request.label] = key
-        return result
 
     def _is_maintained_stream(self, request: ExplainRequest) -> bool:
         """Whole-database stream requests under the workers' maintained
@@ -772,30 +710,43 @@ class ShardRouter:
             request.effective_config().fingerprint() == self.config.fingerprint()
         )
 
-    def _stream_view(self, request: ExplainRequest):
-        calls = [
-            (shard, "stream_rows", {"label": request.label})
-            for shard in range(self.num_shards)
-        ]
+    def _fan_reads(
+        self, calls: list[tuple[int, str, dict[str, Any]]]
+    ) -> tuple[list[Any], list[int]]:
+        """A read fan-out: partial under ``degraded_reads``, else all-or-raise."""
         if self.degraded_reads:
-            responses, missing_shards = self._fan_partial(calls)
-        else:
-            responses, missing_shards = self._fan(calls), []
+            return self._fan_partial(calls)
+        return self._fan(calls), []
+
+    def _stream_rows(self, label: int | None) -> tuple[list[dict[str, Any]], list[int]]:
+        """Every shard's maintained rows (one label's, or all), in global
+        database order.  The caller holds the router lock across this and
+        the assembly, so no mutation can land between fetch and assembly."""
+        calls = [
+            (shard, "stream_rows", {"label": label}) for shard in range(self.num_shards)
+        ]
+        responses, missing_shards = self._fan_reads(calls)
         rows = [row for response in responses for row in response["rows"]]
-        positions = self._positions()
-        missing = [row["graph_id"] for row in rows if row["graph_id"] not in positions]
-        if missing:
+        unknown = [row["graph_id"] for row in rows if not self.database.has_graph(row["graph_id"])]
+        if unknown:
             raise ExplanationError(
-                f"shard rows reference graphs {missing[:5]!r} unknown to the "
+                f"shard rows reference graphs {unknown[:5]!r} unknown to the "
                 "router; the shards and the router database have diverged"
             )
-        rows.sort(key=lambda row: positions[row["graph_id"]])
-        return (
-            assemble_view_from_rows(rows, request.label, self._graphs_by_id),
-            missing_shards,
-        )
+        rows.sort(key=lambda row: self.database.index_of(row["graph_id"]))
+        return rows, missing_shards
 
-    def _fanout_view(self, request: ExplainRequest):
+    def _stream_view(
+        self, request: ExplainRequest
+    ) -> tuple[ExplanationView, list[Graph], list[int]]:
+        with self._lock:
+            rows, missing_shards = self._stream_rows(request.label)
+            view = assemble_view_from_rows(rows, request.label, self._graphs_by_id)
+            return view, self.database.graphs, missing_shards
+
+    def _fanout_view(
+        self, request: ExplainRequest
+    ) -> tuple[ExplanationView, list[Graph], list[int]]:
         base = {
             "algorithm": request.algorithm,
             "label": request.label,
@@ -807,44 +758,38 @@ class ShardRouter:
             # *global* decision made here; each shard explains exactly its
             # members of the ordered result, so a 1-shard tier reproduces
             # the single-process service's list verbatim.
-            selection = self._select_graphs(request)
+            graphs = self._select_graphs(request)
             groups: dict[int, list[int]] = {}
-            for graph in selection:
+            for graph in graphs:
                 shard = self.plan.shard_of(graph.graph_id)
                 groups.setdefault(shard, []).append(graph.graph_id)
-            if not groups:
-                explainer = create_explainer(
-                    request.algorithm, self.model, config=request.effective_config()
-                )
-                return explainer.explain_label([], request.label), 0, []
             calls = [
                 (shard, "explain_ordered", base | {"graph_ids": ids})
                 for shard, ids in sorted(groups.items())
             ]
-            num_graphs = len(selection)
         else:
+            graphs = self.database.graphs
             sizes = self.plan.shard_sizes(self.database)
             involved = [shard for shard, size in enumerate(sizes) if size > 0] or [0]
             calls = [(shard, "explain", dict(base)) for shard in involved]
-            num_graphs = len(self.database)
-        if self.degraded_reads:
-            responses, missing_shards = self._fan_partial(calls)
-        else:
-            responses, missing_shards = self._fan(calls), []
+        responses, missing_shards = self._fan_reads(calls)
         views = [
             view_from_dict(response["view"], graphs_by_id=self._graphs_by_id)
             for response in responses
         ]
         if not views:
-            # Every involved shard was down: a degraded answer degenerates
-            # to an empty (but well-formed, correctly flagged) view.
+            # An empty selection, or every involved shard was down (a
+            # degraded answer degenerates to an empty but well-formed,
+            # correctly flagged view).
             explainer = create_explainer(
                 request.algorithm, self.model, config=request.effective_config()
             )
-            return explainer.explain_label([], request.label), num_graphs, missing_shards
-        if len(views) == 1:
-            return views[0], num_graphs, missing_shards
-        return merge_views(views, request.label), num_graphs, missing_shards
+            view = explainer.explain_label([], request.label)
+        elif len(views) == 1:
+            view = views[0]
+        else:
+            view = merge_views(views, request.label)
+        return view, graphs, missing_shards
 
     # ------------------------------------------------------------------
     # mutations (routed to the owning shard, then mirrored globally)
@@ -867,19 +812,7 @@ class ShardRouter:
             wanted = graph_id if graph_id is not None else graph.graph_id
             if wanted is None:
                 wanted = self.database._next_auto_id
-            if wanted in self._graphs_by_id:
-                raise ExplanationError(
-                    f"graph id {wanted} is already in the database; remove it "
-                    "first or ingest without an id to auto-assign one"
-                )
-            if graph.num_nodes() > 0:
-                try:
-                    graph.feature_matrix(getattr(self.model, "feature_dim", None))
-                except Exception as error:
-                    raise ExplanationError(
-                        f"cannot ingest graph {wanted!r}: the tier's model "
-                        f"cannot classify it ({error})"
-                    ) from error
+            self._check_ingest(graph, wanted)
             shard = self.plan.shard_of(wanted)
             summary = self._call(
                 shard,
@@ -893,7 +826,7 @@ class ShardRouter:
             )
             graph.graph_id = wanted
             self.database.add_graph(graph, label)
-            self._after_mutation("add", graph)
+            self._after_mutation("add", wanted, graph)
             return self._globalise(summary, shard)
 
     def remove(self, graph_id: int) -> dict[str, Any]:
@@ -909,7 +842,7 @@ class ShardRouter:
                 shard, "mutate", {"kind": "remove", "graph_id": graph_id}
             )
             self.database.remove_graph(graph_id)
-            self._after_mutation("remove", None, graph_id=graph_id)
+            self._after_mutation("remove", graph_id)
             return self._globalise(summary, shard)
 
     def relabel(self, graph_id: int, label: int) -> dict[str, Any]:
@@ -925,7 +858,7 @@ class ShardRouter:
                 shard, "mutate", {"kind": "relabel", "graph_id": graph_id, "label": label}
             )
             self.database.relabel_graph(graph_id, label)
-            self._after_mutation("relabel", None, graph_id=graph_id)
+            self._after_mutation("relabel", graph_id)
             return self._globalise(summary, shard)
 
     def _globalise(self, summary: dict[str, Any], shard: int) -> dict[str, Any]:
@@ -935,30 +868,6 @@ class ShardRouter:
         summary["database_version"] = self.database.version
         summary["num_graphs"] = len(self.database)
         return summary
-
-    def _after_mutation(
-        self, kind: str, graph: Graph | None, *, graph_id: int | None = None
-    ) -> None:
-        """Router-side bookkeeping mirroring the service's delta hook."""
-        old_context = self._context_fingerprint
-        self._context_fingerprint = self._fingerprint_context()
-        self.store.discard_prefix(
-            f"{(self.dataset or 'custom').lower()}-{old_context}-"
-        )
-        self._latest.clear()
-        self._live_cache = None
-        self._positions_cache = None
-        if kind == "add" and graph is not None:
-            self._graphs_by_id[graph.graph_id] = graph
-            if self._predicted is not None and graph.num_nodes() > 0:
-                try:
-                    self._predicted[graph.graph_id] = self.model.predict(graph)
-                except Exception:
-                    self._predicted = None
-        elif kind == "remove":
-            self._graphs_by_id.pop(graph_id, None)
-            if self._predicted is not None:
-                self._predicted.pop(graph_id, None)
 
     # ------------------------------------------------------------------
     # stored-view access / queries (the service-compatible read surface)
@@ -971,55 +880,17 @@ class ShardRouter:
     def live_views(self) -> ExplanationViewSet:
         """Every maintained label's view, assembled from shard rows."""
         self._ensure_open()
-        version = self.database.version
         with self._lock:
+            version = self.database.version
             if self._live_cache is not None and self._live_cache[0] == version:
                 return self._live_cache[1]
-        calls = [
-            (shard, "stream_rows", {"label": None}) for shard in range(self.num_shards)
-        ]
-        if self.degraded_reads:
-            responses, missing_shards = self._fan_partial(calls)
-        else:
-            responses, missing_shards = self._fan(calls), []
-        rows = [row for response in responses for row in response["rows"]]
-        positions = self._positions()
-        rows.sort(key=lambda row: positions.get(row["graph_id"], len(positions)))
-        labels = sorted({row["label"] for row in rows if row["label"] is not None})
-        views = ExplanationViewSet()
-        for label in labels:
-            views.add(assemble_view_from_rows(rows, label, self._graphs_by_id))
-        if missing_shards:
-            return views  # partial: never cached, heals on the next call
-        with self._lock:
-            self._live_cache = (version, views)
-        return views
-
-    def view_set(self) -> ExplanationViewSet:
-        """The latest stored view per label, as one queryable set."""
-        with self._lock:
-            latest = dict(self._latest)
-        views = ExplanationViewSet()
-        for key in latest.values():
-            result = self.store.get(key)
-            if result is not None:
-                views.add(result.view)
-        return views
-
-    def results(self) -> list[ExplanationResult]:
-        """The latest stored result per label (sorted by label)."""
-        with self._lock:
-            latest = dict(self._latest)
-        collected = []
-        for label in sorted(latest):
-            result = self.store.get(latest[label])
-            if result is not None:
-                collected.append(result)
-        return collected
-
-    def query(self) -> ServiceQuery:
-        """The standard query facade (duck-typed over this router)."""
-        return ServiceQuery(self)  # type: ignore[arg-type]
+            rows, missing_shards = self._stream_rows(None)
+            views = ExplanationViewSet()
+            for label in sorted({row["label"] for row in rows if row["label"] is not None}):
+                views.add(assemble_view_from_rows(rows, label, self._graphs_by_id))
+            if not missing_shards:  # partial: never cached, heals on the next call
+                self._live_cache = (version, views)
+            return views
 
     # -- replication endpoints are a single-process feature ------------
     def delta_feed(self, since: int) -> dict[str, Any]:
@@ -1077,17 +948,7 @@ class ShardRouter:
                 sampling_aggregate["max_achieved_epsilon"],
                 float(sampling.get("max_achieved_epsilon", 0.0)),
             )
-        with self._lock:
-            labels_explained = sorted(self._latest)
-        return {
-            "role": "shard-router",
-            "dataset": self.dataset,
-            "num_graphs": len(self.database),
-            "database_version": self.database.version,
-            "labels_explained": labels_explained,
-            "train_accuracy": self.train_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "backend": "sparse" if sparse_enabled() else "legacy",
+        return {"role": "shard-router"} | self._stats_header() | {
             "shard_backend": self.backend,
             "num_shards": self.num_shards,
             "shard_sizes": self.plan.shard_sizes(self.database),
@@ -1111,7 +972,6 @@ class ShardRouter:
                 if self._arena is not None
                 else None
             ),
-            "cache": with_hit_rate(self.store.stats()),
             "shard_cache_aggregate": with_hit_rate(aggregate),
             "sampling": sampling_aggregate,
             "shards": shard_stats,
@@ -1148,110 +1008,6 @@ class ShardRouter:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ExplanationError(
-                "this ShardRouter is closed; its workers have shut down — "
-                "build a fresh router instead"
-            )
-
-    # ------------------------------------------------------------------
-    # internals mirrored from the single-process service
-    # ------------------------------------------------------------------
-    def _positions(self) -> dict[int | None, int]:
-        with self._lock:
-            version = self.database.version
-            if self._positions_cache is not None and self._positions_cache[0] == version:
-                return self._positions_cache[1]
-            positions = {
-                graph.graph_id: index
-                for index, graph in enumerate(self.database.graphs)
-            }
-            self._positions_cache = (version, positions)
-            return positions
-
-    def _predicted_labels(self) -> dict[int | None, int]:
-        with self._lock:
-            if self._predicted is None:
-                graphs = [
-                    graph for graph in self.database.graphs if graph.num_nodes() > 0
-                ]
-                if sparse_enabled() and len(graphs) > 1:
-                    assigned = self.model.predict_batch(graphs)
-                else:
-                    assigned = [self.model.predict(graph) for graph in graphs]
-                self._predicted = {
-                    graph.graph_id: label for graph, label in zip(graphs, assigned)
-                }
-            return self._predicted
-
-    def _resolve_label(self, request: ExplainRequest) -> ExplainRequest:
-        if request.label is not None:
-            return request
-        predicted = self._predicted_labels()
-        pool = (
-            [
-                predicted[graph_id]
-                for graph_id in request.graph_ids
-                if graph_id in predicted
-            ]
-            if request.graph_ids is not None
-            else list(predicted.values())
-        )
-        if not pool:
-            raise ExplanationError(
-                "cannot infer a label to explain: the request selects no "
-                "non-empty graphs"
-            )
-        return request.with_label(min(pool))
-
-    def _select_graphs(self, request: ExplainRequest) -> list[Graph]:
-        # Verbatim the single-process selection semantics: id filter in
-        # database order, then test-split-ranked label filter under a limit.
-        if request.graph_ids is not None:
-            wanted = set(request.graph_ids)
-            graphs = [
-                graph for graph in self.database.graphs if graph.graph_id in wanted
-            ]
-        else:
-            graphs = list(self.database.graphs)
-        if request.limit is not None:
-            test_rank = {
-                graph_id: rank for rank, graph_id in enumerate(self._test_ids)
-            }
-            graphs = sorted(
-                graphs,
-                key=lambda graph: test_rank.get(graph.graph_id, len(test_rank)),
-            )
-            predicted = self._predicted_labels()
-            graphs = [
-                graph
-                for graph in graphs
-                if predicted.get(graph.graph_id) == request.label
-            ][: request.limit]
-        return graphs
-
-    def _fingerprint_weights(self) -> str:
-        digest = hashlib.sha256()
-        for layer in self.model.get_weights():
-            for name in sorted(layer):
-                array = np.ascontiguousarray(layer[name])
-                digest.update(name.encode("utf-8"))
-                digest.update(str(array.shape).encode("utf-8"))
-                digest.update(array.tobytes())
-        return digest.hexdigest()
-
-    def _fingerprint_context(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(self._weights_digest.encode("utf-8"))
-        digest.update(str(len(self.database)).encode("utf-8"))
-        digest.update(str(self.database.version).encode("utf-8"))
-        digest.update(str(self._test_ids).encode("utf-8"))
-        return digest.hexdigest()[:12]
-
-    def _cache_key(self, request: ExplainRequest) -> str:
-        prefix = (self.dataset or "custom").lower()
-        return f"{prefix}-{self._context_fingerprint}-{request.fingerprint()}"
 
 
 class ShardSupervisor:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.api import (
     explanation_schema,
     validate_against_schema,
 )
+from repro.api.server import MAX_BODY_BYTES
 from repro.core import Configuration
 
 
@@ -99,6 +102,38 @@ class TestExplainEndpoint:
             _post(live_server, "/explain", {"algorithm": "magic"})
         assert excinfo.value.code == 400
         assert "approx" in json.loads(excinfo.value.read())["error"]
+
+
+def _post_declared_length(base: str, content_length: str) -> tuple[int, dict]:
+    """POST headers only, declaring ``content_length`` but sending no body.
+
+    A server that trusted the header would block reading the missing body
+    and this call would time out instead of getting an answer.
+    """
+    parts = urlsplit(base)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=20)
+    try:
+        connection.putrequest("POST", "/v1/explain")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestRequestBodyLength:
+    @pytest.mark.parametrize("content_length", ["-1", "twelve"])
+    def test_negative_or_non_integer_length_is_a_400(self, live_server, content_length):
+        status, payload = _post_declared_length(live_server, content_length)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_length_above_the_limit_is_a_413(self, live_server):
+        status, payload = _post_declared_length(live_server, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
 
 
 class TestQueryEndpoints:
